@@ -5,8 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // produces both timing and the paper's comparison data. The mapping from
-// benchmark to paper artifact is in DESIGN.md ("Per-experiment index");
-// measured-vs-paper numbers are recorded in EXPERIMENTS.md.
+// benchmark to paper artifact is in DESIGN.md ("Experiment index").
 package main
 
 import (
@@ -93,7 +92,7 @@ func BenchmarkFig3Work(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		row = exp.Compare(ng, exp.CompareOptions{Workers: 4, Seed: 17})
 	}
-	b.Logf("work CL-DIAM=%d Δ-stepping=%d (paper: 4.22e8 vs 1.35e11 on roads-USA; see EXPERIMENTS.md on counter semantics)",
+	b.Logf("work CL-DIAM=%d Δ-stepping=%d (paper: 4.22e8 vs 1.35e11 on roads-USA)",
 		row.WorkCL, row.WorkDS)
 }
 
@@ -111,7 +110,8 @@ func BenchmarkTable3BigGraphs(b *testing.B) {
 }
 
 // BenchmarkFig4Scalability regenerates Figure 4 (simulated parallel time
-// versus worker count; see EXPERIMENTS.md for the simulation rationale).
+// versus worker count; see DESIGN.md, "Substitutions", for the simulation
+// rationale).
 func BenchmarkFig4Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points := exp.Fig4(benchScale, []int{1, 2, 4, 8, 16}, 5)

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (Section 5) on the scaled benchmark suite. See DESIGN.md for
-// the per-experiment index and EXPERIMENTS.md for paper-vs-measured notes.
+// evaluation (Section 5) on the scaled benchmark suite. See DESIGN.md
+// ("Experiment index") for the per-experiment index.
 //
 // Usage:
 //

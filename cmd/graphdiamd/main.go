@@ -83,13 +83,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -98,6 +96,7 @@ import (
 	"syscall"
 	"time"
 
+	"graphdiam/cmd/internal/cli"
 	"graphdiam/internal/dataset"
 	"graphdiam/internal/fleet"
 	"graphdiam/internal/gen"
@@ -354,31 +353,7 @@ func main() {
 		cfg.Log = slogger
 	}
 
-	// The debug listener is deliberately a separate server on a separate
-	// (private) address: pprof handlers expose heap contents and must
-	// never ride the public mux. It mirrors /metrics so a scrape can stay
-	// entirely off the serving listener.
-	if *debugAddr != "" {
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dmux.Handle("/metrics", reg.Handler())
-		dsrv := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           dmux,
-			ReadHeaderTimeout: *readHeaderTO,
-		}
-		defer dsrv.Close()
-		go func() {
-			logger.Printf("debug listener (pprof + /metrics) on %s", *debugAddr)
-			if err := dsrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("debug listener: %v", err)
-			}
-		}()
-	}
+	defer cli.ServeDebug(*debugAddr, reg, *readHeaderTO, logger)()
 	// No WriteTimeout: /v2/jobs/{id}/events streams SSE for the life of a
 	// job; IdleTimeout still reaps dead keep-alive connections and
 	// ReadHeaderTimeout caps slowloris-style trickled headers.
@@ -388,9 +363,6 @@ func main() {
 		ReadHeaderTimeout: *readHeaderTO,
 		IdleTimeout:       *idleTO,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	// SIGHUP reloads -fleet-config: a JSON placement view whose epoch must
 	// strictly exceed the current one. A bad file (or a view that would
@@ -420,26 +392,6 @@ func main() {
 		}()
 	}
 
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("listening on %s (cache=%d entries, %d concurrent BSP runs)",
-			*addr, *maxEntries, *maxConcurrent)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		logger.Fatalf("serve: %v", err)
-	case <-ctx.Done():
-	case <-drainCh:
-		logger.Printf("drain complete; beginning graceful exit")
-	}
-
-	logger.Printf("shutting down, draining for up to %v", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Printf("shutdown: %v", err)
-	}
-	logger.Printf("bye")
+	cli.Serve(srv, *drain, drainCh, logger, fmt.Sprintf("listening on %s (cache=%d entries, %d concurrent BSP runs)",
+		*addr, *maxEntries, *maxConcurrent))
 }

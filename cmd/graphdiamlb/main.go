@@ -32,23 +32,16 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
-	"math"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"graphdiam/cmd/internal/cli"
 	"graphdiam/internal/fleet"
 	"graphdiam/internal/obs"
 )
@@ -101,45 +94,22 @@ func main() {
 	table.Start()
 	defer table.Close()
 
-	lb := &frontDoor{
-		table:    table,
-		proxy:    &fleet.Proxy{SelfRank: -1, Table: table, Log: slogger, Metrics: fleetMetrics},
-		maxBody:  *maxBody,
-		metrics:  obs.NewHTTPMetrics(reg),
-		registry: reg,
+	lb := &fleet.FrontDoor{
+		Table:    table,
+		Proxy:    &fleet.Proxy{SelfRank: -1, Table: table, Log: slogger, Metrics: fleetMetrics},
+		MaxBody:  *maxBody,
+		Metrics:  obs.NewHTTPMetrics(reg),
+		Registry: reg,
 	}
 	if *tenantRate > 0 {
-		lb.quotas = fleet.NewQuotas(*tenantRate, *tenantBurst)
+		lb.Quotas = fleet.NewQuotas(*tenantRate, *tenantBurst)
 		logger.Printf("admission control: %g jobs/s per tenant", *tenantRate)
 	}
 	if !*quiet {
-		lb.log = slogger
+		lb.Log = slogger
 	}
 
-	// Private pprof + /metrics mirror; see the graphdiamd flag of the same
-	// name. Never expose this listener publicly.
-	if *debugAddr != "" {
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dmux.Handle("/metrics", reg.Handler())
-		dsrv := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           dmux,
-			ReadHeaderTimeout: *readHeaderTO,
-		}
-		defer dsrv.Close()
-		go func() {
-			logger.Printf("debug listener (pprof + /metrics) on %s", *debugAddr)
-			if err := dsrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-
+	defer cli.ServeDebug(*debugAddr, reg, *readHeaderTO, logger)()
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           lb,
@@ -147,240 +117,6 @@ func main() {
 		IdleTimeout:       *idleTO,
 		// No WriteTimeout: proxied SSE job streams live as long as the job.
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("front door on %s for %d-daemon fleet", *addr, len(table.Members()))
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		logger.Fatalf("serve: %v", err)
-	case <-ctx.Done():
-	}
-
-	logger.Printf("shutting down, draining for up to %v", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Printf("shutdown: %v", err)
-	}
-	logger.Printf("bye")
-}
-
-// frontDoor is the lb's handler: admission control, then placement, then
-// a reverse-proxied forward.
-type frontDoor struct {
-	table    *fleet.Table
-	proxy    *fleet.Proxy
-	quotas   *fleet.Quotas
-	log      *slog.Logger
-	maxBody  int64
-	metrics  *obs.HTTPMetrics
-	registry *obs.Registry
-}
-
-// lbRoute labels a request for the lb's per-route metrics: the edge's
-// own endpoints by path, everything proxied by its placement class —
-// never the raw path, whose dataset/job segments are unbounded.
-func lbRoute(method, path string) string {
-	switch path {
-	case "/healthz", "/readyz", "/v2/fleet", "/v2/fleet/config", "/metrics":
-		return path
-	}
-	switch fleet.Classify(method, path).Class {
-	case fleet.RouteDataset:
-		return "proxy_dataset"
-	case fleet.RouteJob:
-		return "proxy_job"
-	default:
-		return "proxy_other"
-	}
-}
-
-func (f *frontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get(fleet.RequestIDHeader)
-	if rid == "" {
-		rid = fleet.NewRequestID()
-		r.Header.Set(fleet.RequestIDHeader, rid)
-	}
-	w.Header().Set(fleet.RequestIDHeader, rid)
-	route := lbRoute(r.Method, r.URL.Path)
-	done := f.metrics.Begin()
-	rec := obs.WrapWriter(w)
-	start := time.Now()
-	f.dispatch(rec, r)
-	elapsed := time.Since(start)
-	done(route, r.Method, rec.Code())
-	if f.log != nil {
-		attrs := []any{
-			"route", route,
-			"method", r.Method,
-			"status", rec.Code(),
-			"duration_ms", float64(elapsed.Microseconds()) / 1e3,
-			"request_id", rid,
-			"epoch", f.table.Epoch(),
-		}
-		if tenant := r.Header.Get(fleet.TenantHeader); tenant != "" {
-			attrs = append(attrs, "tenant", tenant)
-		}
-		f.log.Info("http request", attrs...)
-	}
-}
-
-func (f *frontDoor) dispatch(w http.ResponseWriter, r *http.Request) {
-	// The lb's own endpoints: liveness, readiness, placement view, metrics,
-	// and membership administration (a config push to the lb keeps the
-	// edge's placement in lockstep with the daemons it fronts).
-	switch r.URL.Path {
-	case "/healthz":
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-		return
-	case "/readyz":
-		f.serveReadyz(w)
-		return
-	case "/metrics":
-		f.registry.Handler().ServeHTTP(w, r)
-		return
-	case "/v2/fleet":
-		f.serveFleet(w, r)
-		return
-	case "/v2/fleet/config":
-		if r.Method != http.MethodPost {
-			fleet.WriteJSONError(w, http.StatusMethodNotAllowed, fmt.Errorf("config pushes are POST"))
-			return
-		}
-		fleet.HandleConfigPush(f.table, w, r)
-		return
-	}
-
-	if !f.admit(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, f.maxBody)
-
-	chain, ok := f.place(w, r)
-	if !ok {
-		return // place already wrote the error
-	}
-	f.proxy.ForwardChain(w, r, chain)
-}
-
-// placeChainMax bounds how many failover candidates one request walks.
-const placeChainMax = 3
-
-// place picks the daemons this request may land on, best first,
-// mirroring the daemons' own routing rules so the first hop is usually
-// the last. The tail of the chain is the failover path: the proxy
-// advances past draining or freshly-dead members without bouncing the
-// error back to the client.
-func (f *frontDoor) place(w http.ResponseWriter, r *http.Request) ([]fleet.Member, bool) {
-	d := fleet.Classify(r.Method, r.URL.Path)
-	switch d.Class {
-	case fleet.RouteDataset:
-		name := d.Dataset
-		if name == "" && d.BodyField != "" {
-			var err error
-			name, err = fleet.PeekBodyField(r, d.BodyField)
-			if err != nil {
-				fleet.WriteJSONError(w, http.StatusBadRequest, err)
-				return nil, false
-			}
-		}
-		if name != "" {
-			if chain := f.table.Replicas(name, placeChainMax); len(chain) > 0 {
-				return chain, true
-			}
-		}
-	case fleet.RouteJob:
-		if rank, ok := fleet.JobHomeRank(d.JobID); ok {
-			members := f.table.Members()
-			if rank < len(members) && f.table.Live(rank) {
-				// A job lives only on its home rank — no failover chain.
-				return members[rank : rank+1], true
-			}
-		}
-	}
-	// RouteAny, RouteLocal, an unplaceable dataset (the daemon's handler
-	// answers the 400/404), or a dead job home: live daemons in rank order.
-	var chain []fleet.Member
-	for _, m := range f.table.Members() {
-		if f.table.Live(m.Rank) {
-			chain = append(chain, m)
-			if len(chain) == placeChainMax {
-				break
-			}
-		}
-	}
-	if len(chain) > 0 {
-		return chain, true
-	}
-	fleet.WriteJSONError(w, http.StatusServiceUnavailable,
-		fmt.Errorf("no live fleet member (probes against %d daemons all failing)", len(f.table.Members())))
-	return nil, false
-}
-
-func (f *frontDoor) admit(w http.ResponseWriter, r *http.Request) bool {
-	if f.quotas == nil || !fleet.CostsJob(r.Method, r.URL.Path) {
-		return true
-	}
-	tenant := r.Header.Get(fleet.TenantHeader)
-	if tenant == "" {
-		tenant = "anonymous"
-	}
-	ok, retry := f.quotas.Allow(tenant)
-	if ok {
-		return true
-	}
-	secs := int(math.Ceil(retry.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	f.metrics.Throttled(tenant)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	fleet.WriteJSONError(w, http.StatusTooManyRequests,
-		fmt.Errorf("tenant %q is over its admission rate; retry after %ds", tenant, secs))
-	return false
-}
-
-func (f *frontDoor) serveReadyz(w http.ResponseWriter) {
-	live := f.table.LiveCount()
-	status, state := http.StatusOK, "ready"
-	if live == 0 {
-		status, state = http.StatusServiceUnavailable, "unready"
-	}
-	writeJSON(w, status, map[string]any{
-		"status": state,
-		"live":   live,
-		"fleet":  f.table.Snapshot(),
-		"view":   f.table.View(),
-	})
-}
-
-func (f *frontDoor) serveFleet(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{
-		"self":    -1,
-		"epoch":   f.table.Epoch(),
-		"members": f.table.Snapshot(),
-	}
-	if ds := r.URL.Query().Get("dataset"); ds != "" {
-		resp["dataset"] = ds
-		resp["preference"] = f.table.Preference(ds)
-		if owner, ok := f.table.Owner(ds); ok {
-			resp["owner"] = owner
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	cli.Serve(srv, *drain, nil, logger,
+		fmt.Sprintf("front door on %s for %d-daemon fleet", *addr, len(table.Members())))
 }

@@ -8,41 +8,38 @@ import (
 	"os"
 	"strings"
 
+	"graphdiam/internal/dataset"
 	"graphdiam/internal/gen"
-	"graphdiam/internal/gio"
 	"graphdiam/internal/graph"
 )
 
 // LoadGraph reads a graph from path, dispatching on the extension:
 // .gr (DIMACS), .bin (graphdiam binary), .metis/.graph (METIS), anything
-// else as an edge list.
+// else as an edge list. The extension decides rather than content
+// sniffing because headerless METIS cannot be told from an edge list.
 func LoadGraph(path string) (*graph.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	format := dataset.FormatEdgeList
 	switch {
 	case strings.HasSuffix(path, ".gr"):
-		return gio.ReadDIMACS(f)
+		format = dataset.FormatDIMACS
 	case strings.HasSuffix(path, ".bin"):
-		return gio.ReadBinary(f)
+		format = dataset.FormatBinary
 	case strings.HasSuffix(path, ".metis") || strings.HasSuffix(path, ".graph"):
-		return gio.ReadMETIS(f)
-	default:
-		return gio.ReadEdgeList(f)
+		format = dataset.FormatMETIS
 	}
+	g, _, err := dataset.DecodeStream(f, format)
+	return g, err
 }
 
-// LoadSpec builds a graph from a compact generator spec such as "mesh:256"
-// or "rmat:16". The grammar lives in gen.FromSpec, which is shared with the
-// graphdiamd server's generate endpoint; the seed drives both topology and
-// weights.
-func LoadSpec(spec string, seed uint64) (*graph.Graph, error) {
-	return gen.FromSpec(spec, seed)
-}
-
-// Load resolves the -graph / -spec flag pair: exactly one must be set.
+// Load resolves the -graph / -spec flag pair: exactly one must be set. A
+// spec such as "mesh:256" or "rmat:16" follows gen.FromSpec, the grammar
+// the graphdiamd generate endpoint shares; the seed drives both topology
+// and weights.
 func Load(path, spec string, seed uint64) (*graph.Graph, error) {
 	switch {
 	case path != "" && spec != "":
@@ -50,7 +47,7 @@ func Load(path, spec string, seed uint64) (*graph.Graph, error) {
 	case path != "":
 		return LoadGraph(path)
 	case spec != "":
-		return LoadSpec(spec, seed)
+		return gen.FromSpec(spec, seed)
 	default:
 		return nil, fmt.Errorf("cli: one of -graph or -spec is required")
 	}

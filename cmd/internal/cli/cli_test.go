@@ -21,7 +21,7 @@ func TestLoadSpecFamilies(t *testing.T) {
 		"path:10":    {10},
 	}
 	for spec, want := range cases {
-		g, err := LoadSpec(spec, 1)
+		g, err := Load("", spec, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
@@ -36,18 +36,18 @@ func TestLoadSpecFamilies(t *testing.T) {
 
 func TestLoadSpecErrors(t *testing.T) {
 	for _, spec := range []string{"nope:3", "mesh", "mesh:x", "gnm:5", "roads:2"} {
-		if _, err := LoadSpec(spec, 1); err == nil {
+		if _, err := Load("", spec, 1); err == nil {
 			t.Errorf("%s: expected error", spec)
 		}
 	}
 }
 
 func TestLoadSpecDeterministic(t *testing.T) {
-	a, err := LoadSpec("rmat:7", 9)
+	a, err := Load("", "rmat:7", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadSpec("rmat:7", 9)
+	b, err := Load("", "rmat:7", 9)
 	if err != nil {
 		t.Fatal(err)
 	}

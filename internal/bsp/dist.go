@@ -191,26 +191,6 @@ func (d *distEngine) allgatherFixed(payload []byte, size int) ([][]byte, error) 
 	return in, nil
 }
 
-// GlobalSumInt sums v across peers. Identity for single-process engines; on
-// transport failure it returns 0 with the error sticky in Err().
-func (e *Engine) GlobalSumInt(v int) int {
-	d := e.dist
-	if d == nil {
-		return v
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-	in, err := d.allgatherFixed(buf[:], 8)
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, blob := range in {
-		total += int64(binary.LittleEndian.Uint64(blob))
-	}
-	return int(total)
-}
-
 // GlobalSum2 sums the pair (a, b) across peers in one exchange.
 func (e *Engine) GlobalSum2(a, b int64) (int64, int64) {
 	d := e.dist

@@ -40,21 +40,6 @@ type Clustering struct {
 // NumClusters returns the number of clusters.
 func (c *Clustering) NumClusters() int { return len(c.Centers) }
 
-// ClusterIndex returns a dense renumbering: for each node, the index of its
-// cluster in Centers. O(n), using a dense lookup array — centers are node
-// IDs in [0, n), so no map is needed.
-func (c *Clustering) ClusterIndex() []int32 {
-	idx := make([]int32, len(c.Center))
-	for i, ctr := range c.Centers {
-		idx[ctr] = int32(i)
-	}
-	out := make([]int32, len(c.Center))
-	for u, ctr := range c.Center {
-		out[u] = idx[ctr]
-	}
-	return out
-}
-
 // Validate checks structural invariants of the clustering against g,
 // returning a descriptive error on the first violation. Intended for tests
 // and debugging; O(n + m).

@@ -216,29 +216,6 @@ func TestClusterMetricsAccounted(t *testing.T) {
 	}
 }
 
-func TestClusterIndexDense(t *testing.T) {
-	r := rng.New(19)
-	g := gen.UniformWeights(gen.GNM(80, 200, r), r)
-	cl := mustCluster(t, g, Options{Tau: 4, Seed: 3})
-	idx := cl.ClusterIndex()
-	k := cl.NumClusters()
-	seen := make([]bool, k)
-	for u, i := range idx {
-		if i < 0 || int(i) >= k {
-			t.Fatalf("node %d has cluster index %d out of [0,%d)", u, i, k)
-		}
-		seen[i] = true
-		if cl.Centers[i] != graph.NodeID(cl.Center[u]) {
-			t.Fatalf("index %d inconsistent with center %d", i, cl.Center[u])
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("cluster index %d unused", i)
-		}
-	}
-}
-
 func TestInitialDeltaModes(t *testing.T) {
 	g := gen.WeightedPath([]float64{1, 2, 3, 10})
 	if d := (Options{InitialDelta: DeltaMinWeight}).initialDelta(g); d != 1 {

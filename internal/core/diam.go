@@ -51,9 +51,9 @@ type DiamResult struct {
 // ApproxDiameter runs the paper's practical diameter approximation CL-DIAM:
 // decompose g with CLUSTER(G, τ) (Section 3), build the weighted quotient
 // graph (Section 4), and return Φ(G_C) + 2R. The estimate is conservative —
-// Φapprox(G) ≥ Φ(G) — and, per the paper's experiments and the ones in
-// EXPERIMENTS.md, within a factor ~1.4 of the true diameter in practice,
-// far below the O(log³ n) worst-case guarantee.
+// Φapprox(G) ≥ Φ(G) — and, per the paper's experiments, within a factor
+// ~1.4 of the true diameter in practice, far below the O(log³ n)
+// worst-case guarantee.
 //
 // Cancellation of ctx is observed at superstep barriers throughout the
 // decomposition and between the quotient phases; a cancelled run returns

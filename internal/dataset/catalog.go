@@ -170,7 +170,7 @@ type Catalog struct {
 
 	mu         sync.Mutex
 	entries    map[string]*Info
-	mapped     map[string]*Loaded // open snapshots keyed by SHA; released at Close
+	mapped     map[string]*Loaded // loaded heads keyed by SHA; see dropHeadLocked
 	publishing map[string]int     // blob publishes in flight, not yet manifest-referenced
 	dirty      bool               // in-memory state (incl. recency) ahead of manifest.json
 	now        func() time.Time
@@ -636,12 +636,35 @@ func (c *Catalog) totalBytesLocked() int64 {
 }
 
 // removeEntryBlobsLocked drops every blob a just-removed entry stored,
-// each only when nothing else references it. Caller holds c.mu and has
-// already detached the entry.
+// each only when nothing else references it, and its cached head. Caller
+// holds c.mu and has already detached the entry.
 func (c *Catalog) removeEntryBlobsLocked(in *Info) {
 	for _, br := range in.blobRefs() {
 		c.removeBlobIfUnreferencedLocked(br.sha)
 	}
+	c.dropHeadLocked(in.SHA256)
+}
+
+// dropHeadLocked forgets the cached load of sha once no entry's head is
+// sha. Only heap-backed graphs are dropped: a reader still holding one
+// keeps it alive and the GC reclaims it after them. An mmapped snapshot
+// stays mapped until Close, because unmapping it would pull the pages
+// out from under such a reader. Caller holds c.mu.
+func (c *Catalog) dropHeadLocked(sha string) {
+	if ld, ok := c.mapped[sha]; ok && !ld.Mmapped && !c.headReferencedLocked(sha) {
+		delete(c.mapped, sha)
+	}
+}
+
+// headReferencedLocked reports whether some entry's head is sha. Caller
+// holds c.mu.
+func (c *Catalog) headReferencedLocked(sha string) bool {
+	for _, in := range c.entries {
+		if in.SHA256 == sha {
+			return true
+		}
+	}
+	return false
 }
 
 // removeBlobIfUnreferencedLocked drops a blob's local presence once
@@ -680,7 +703,9 @@ func (c *Catalog) removeBlobIfUnreferencedLocked(sha string) {
 // removed and re-ingested unchanged — return the same *Loaded, so a
 // daemon that churns graphs never accumulates duplicate mappings. Do not
 // call Close on a catalog-obtained Loaded; the catalog releases all
-// mappings at its own Close.
+// mappings at its own Close. A heap-backed head (a materialized lineage)
+// is forgotten once no name points at it, so appends do not accumulate
+// superseded graphs.
 func (c *Catalog) Load(name string) (*Loaded, error) {
 	c.mu.Lock()
 	in, ok := c.entries[name]
@@ -745,7 +770,12 @@ func (c *Catalog) Load(name string) (*Loaded, error) {
 		ld.Close()
 		return prior, nil
 	}
-	c.mapped[sha] = ld
+	// A concurrent append, re-ingest or Remove may have moved every name
+	// off sha while it materialized: caching that heap-backed graph would
+	// leak it. A mapping is registered regardless, so Close releases it.
+	if ld.Mmapped || c.headReferencedLocked(sha) {
+		c.mapped[sha] = ld
+	}
 	return ld, nil
 }
 

@@ -168,10 +168,12 @@ func (c *Catalog) AppendDelta(name string, d *EdgeDelta, source string) (AppendR
 	}
 	c.entries[name] = next
 	// Cache the materialization under the new head so the store's
-	// fault-in after invalidation reuses this exact graph.
+	// fault-in after invalidation reuses this exact graph, and forget the
+	// superseded one.
 	if _, exists := c.mapped[newHead]; !exists {
 		c.mapped[newHead] = &Loaded{Graph: newG, Header: newH}
 	}
+	c.dropHeadLocked(prev)
 	c.evictLocked(name)
 	if err := c.saveManifestLocked(); err != nil {
 		return AppendResult{}, err

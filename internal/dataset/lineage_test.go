@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphdiam/internal/graph"
 )
 
 // lineageCatalog opens a catalog with background compaction disabled so
@@ -231,6 +233,75 @@ func TestLineageRemoveDropsUnreferencedBlobs(t *testing.T) {
 	}
 	if got := snapshotFiles(t, dir); len(got) != 0 {
 		t.Fatalf("blobs survived removal of their only referrer: %v", got)
+	}
+}
+
+// heapHeads counts the heap-backed (materialized lineage) loads the
+// catalog still caches.
+func heapHeads(c *Catalog) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, ld := range c.mapped {
+		if !ld.Mmapped {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAppendsDoNotAccumulateHeads: every append materializes a new head,
+// and the superseded one must leave the catalog's cache, or a dataset
+// under steady appends grows memory without bound. Re-ingest and Remove
+// release the head the name leaves behind the same way.
+func TestAppendsDoNotAccumulateHeads(t *testing.T) {
+	c := lineageCatalog(t, t.TempDir(), Options{})
+	if _, err := c.IngestGraph("m", mustGen(t, "mesh:8", 1), FormatBinary, ""); err != nil {
+		t.Fatal(err)
+	}
+	var last AppendResult
+	for i := 0; i < 6; i++ {
+		d := &EdgeDelta{Ins: []DeltaIns{{U: 0, V: graph.NodeID(20 + i), W: 0.25}}}
+		res, err := c.AppendDelta("m", d, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Applied {
+			t.Fatalf("append %d was a no-op", i)
+		}
+		if got := heapHeads(c); got > 1 {
+			t.Fatalf("after append %d the catalog caches %d heap-backed heads, want at most 1", i, got)
+		}
+		last = res
+	}
+	c.mu.Lock()
+	cached := c.mapped[last.Info.SHA256]
+	c.mu.Unlock()
+	if cached == nil {
+		t.Fatal("the current head is not cached")
+	}
+	ld, err := c.Load("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ld != cached || ld.Header.SHAHex() != last.Info.SHA256 {
+		t.Fatalf("Load returned %s, want the cached head %s", ShortSHA(ld.Header.SHAHex()), ShortSHA(last.Info.SHA256))
+	}
+
+	if _, err := c.IngestGraph("m", mustGen(t, "mesh:8", 2), FormatBinary, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := heapHeads(c); got != 0 {
+		t.Fatalf("re-ingest left %d heap-backed heads cached, want 0", got)
+	}
+	if _, err := c.AppendDelta("m", growDelta(), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove("m"); err != nil {
+		t.Fatal(err)
+	}
+	if got := heapHeads(c); got != 0 {
+		t.Fatalf("Remove left %d heap-backed heads cached, want 0", got)
 	}
 }
 

@@ -175,6 +175,7 @@ func (c *Catalog) condemn(sha string, verr error) int {
 			continue
 		}
 		delete(c.entries, name)
+		c.dropHeadLocked(in.SHA256)
 		dropped++
 		c.logf("sweep: quarantined dataset %q (%s): %v", name, ShortSHA(sha), verr)
 	}

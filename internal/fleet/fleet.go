@@ -1,8 +1,9 @@
 // Package fleet is the query plane of a graphdiam fleet: deterministic
 // dataset→owner placement over a health-checked member list, the client
-// side of the fleet-wide result cache, per-tenant admission control, and
-// the request-classification rules the owner-routing proxies (in
-// internal/server and cmd/graphdiamlb) share.
+// side of the fleet-wide result cache, per-tenant admission control, the
+// front door's handler (FrontDoor, served by cmd/graphdiamlb), and the
+// request classification, placement and JSON replies it shares with the
+// daemons' owner routing in internal/server.
 //
 // Placement is rendezvous (highest-random-weight) hashing: every node
 // scores each (member URL, key) pair with the same hash function and the
@@ -211,13 +212,8 @@ func ValidateDaemonFlags(peers []string, workerID int, blobURL string) ([]string
 
 // Self returns this node's rank in the current view, or -1 outside the
 // fleet. The rank can change across view swaps (a swap that would drop
-// the node entirely is rejected — see buildView); callers needing a
-// stable identity should use SelfURL.
+// the node entirely is rejected — see buildView).
 func (t *Table) Self() int { return t.cur.Load().self }
-
-// SelfURL returns this node's canonical member URL, or "" outside the
-// fleet. Unlike the rank, the URL is stable across view swaps.
-func (t *Table) SelfURL() string { return t.selfURL }
 
 // Members returns the rank-ordered member list of the current view.
 func (t *Table) Members() []Member {
@@ -404,16 +400,48 @@ func (t *Table) Replicas(key string, k int) []Member {
 	return out
 }
 
-// FirstLive returns the lowest-ranked live member — the front door's
-// target for requests that have no dataset to place.
-func (t *Table) FirstLive() (Member, bool) {
+// FirstLive returns up to k live members in rank order — the front
+// door's targets for requests Place cannot place.
+func (t *Table) FirstLive(k int) []Member {
 	v := t.cur.Load()
+	var out []Member
 	for i, m := range v.members {
+		if len(out) == k {
+			break
+		}
 		if v.health[i].live.Load() {
-			return m, true
+			out = append(out, m)
 		}
 	}
-	return Member{}, false
+	return out
+}
+
+// InfoResponse is the GET /v2/fleet payload: membership, and — with
+// ?dataset=<name> — where that dataset's queries land.
+type InfoResponse struct {
+	// Self is the reporting node's rank, -1 on the front door.
+	Self    int            `json:"self"`
+	Epoch   uint64         `json:"epoch"`
+	Members []MemberStatus `json:"members"`
+	Dataset string         `json:"dataset,omitempty"`
+	// Owner is the dataset's current owner under this node's health view.
+	Owner *Member `json:"owner,omitempty"`
+	// Preference is the dataset's full failover chain, live or not.
+	Preference []Member `json:"preference,omitempty"`
+}
+
+// Info reports this node's placement view, and dataset's placement when
+// dataset is not empty.
+func (t *Table) Info(dataset string) InfoResponse {
+	resp := InfoResponse{Self: t.Self(), Epoch: t.Epoch(), Members: t.Snapshot()}
+	if dataset != "" {
+		resp.Dataset = dataset
+		resp.Preference = t.Preference(dataset)
+		if owner, ok := t.Owner(dataset); ok {
+			resp.Owner = &owner
+		}
+	}
+	return resp
 }
 
 // ProbeOnce health-checks every member (except self) once, in parallel,

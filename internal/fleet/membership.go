@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -203,13 +204,9 @@ type viewError struct {
 // epoch in EpochHeader, the classification in ErrClassHeader, and the
 // receiver's full view in the body.
 func WriteEpochMismatch(w http.ResponseWriter, got string, v View) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(ErrClassHeader, ErrClassEpochMismatch)
 	w.Header().Set(EpochHeader, strconv.FormatUint(v.Epoch, 10))
-	w.WriteHeader(http.StatusConflict)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(viewError{
+	WriteJSON(w, http.StatusConflict, viewError{
 		Error: fmt.Sprintf("fleet: request placement epoch %s does not match this node's epoch %d", got, v.Epoch),
 		View:  v,
 	})
@@ -222,15 +219,10 @@ func WriteDraining(w http.ResponseWriter, retryAfterSecs int) {
 	if retryAfterSecs < 1 {
 		retryAfterSecs = 1
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(ErrClassHeader, ErrClassDraining)
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
-	w.WriteHeader(http.StatusServiceUnavailable)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(map[string]string{
-		"error": "fleet: node is draining; retry against the next preference member",
-	})
+	WriteJSONError(w, http.StatusServiceUnavailable,
+		errors.New("fleet: node is draining; retry against the next preference member"))
 }
 
 // IsEpochMismatch reports whether resp is a classified epoch-mismatch

@@ -302,25 +302,24 @@ func HandleConfigPush(t *Table, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := t.SwapView(v); err != nil {
-		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(EpochHeader, strconv.FormatUint(t.Epoch(), 10))
-		w.WriteHeader(http.StatusConflict)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(viewError{Error: err.Error(), View: t.View()})
+		WriteJSON(w, http.StatusConflict, viewError{Error: err.Error(), View: t.View()})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(t.View())
+	WriteJSON(w, http.StatusOK, t.View())
 }
 
-// WriteJSONError renders an error in the API's {"error": "..."} shape.
-func WriteJSONError(w http.ResponseWriter, status int, err error) {
+// WriteJSON renders v as the API's indented JSON with the given status.
+// It is the one response encoder of the daemon and the front door.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(map[string]string{"error": err.Error()})
+	enc.Encode(v)
+}
+
+// WriteJSONError renders an error in the API's {"error": "..."} shape.
+func WriteJSONError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -1,9 +1,14 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
+
+	"graphdiam/internal/obs"
 )
 
 // Quotas is per-tenant admission control for compute-cost requests: one
@@ -81,4 +86,31 @@ func (q *Quotas) pruneLocked(now time.Time) {
 			delete(q.buckets, tenant)
 		}
 	}
+}
+
+// Admit charges one token to the request's tenant (X-Tenant, or
+// "anonymous") when the request costs a job. A tenant over its rate gets
+// 429 with a Retry-After of at least one second, counted in m. Returns
+// false after writing the rejection. A nil *Quotas admits everything.
+func (q *Quotas) Admit(w http.ResponseWriter, r *http.Request, m *obs.HTTPMetrics) bool {
+	if q == nil || !CostsJob(r.Method, r.URL.Path) {
+		return true
+	}
+	tenant := r.Header.Get(TenantHeader)
+	if tenant == "" {
+		tenant = "anonymous"
+	}
+	ok, retry := q.Allow(tenant)
+	if ok {
+		return true
+	}
+	secs := int(math.Ceil(retry.Seconds()))
+	if secs < 1 {
+		secs = 1
+	}
+	m.Throttled(tenant)
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	WriteJSONError(w, http.StatusTooManyRequests,
+		fmt.Errorf("tenant %q is over its admission rate; retry after %ds", tenant, secs))
+	return false
 }

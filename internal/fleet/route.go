@@ -12,7 +12,7 @@ import (
 )
 
 // Request-routing rules shared by the daemon-side proxy (internal/server)
-// and the front door (cmd/graphdiamlb). Classification is purely
+// and the front door (FrontDoor). Classification is purely
 // syntactic — method and path, plus at most one JSON field peeked from
 // the body — so both proxies route identically.
 
@@ -142,20 +142,29 @@ func JobHomeRank(id string) (int, bool) {
 	return rank, true
 }
 
-// PeekBodyField reads the request body (bounded by the MaxBytesReader
-// the caller already installed), extracts the named top-level string
-// field from its JSON object, and reinstates the body for forwarding or
-// local handling. A body that is not a JSON object, or lacks the field,
-// yields "" — the caller serves locally and the handler produces its
-// usual 400/404.
-func PeekBodyField(r *http.Request, field string) (string, error) {
+// BufferBody reads the request body (bounded by the MaxBytesReader the
+// caller already installed) and reinstates it, so a router can peek at
+// the bytes and still forward or handle the request whole.
+func BufferBody(r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(r.Body)
 	r.Body.Close()
 	if err != nil {
-		return "", fmt.Errorf("read request body: %w", err)
+		return nil, fmt.Errorf("read request body: %w", err)
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
 	r.ContentLength = int64(len(body))
+	return body, nil
+}
+
+// PeekBodyField buffers the request body (BufferBody) and extracts the
+// named top-level string field from its JSON object. A body that is not
+// a JSON object, or lacks the field, yields "" — the caller serves
+// locally and the handler produces its usual 400/404.
+func PeekBodyField(r *http.Request, field string) (string, error) {
+	body, err := BufferBody(r)
+	if err != nil {
+		return "", err
+	}
 	var probe map[string]json.RawMessage
 	if json.Unmarshal(body, &probe) != nil {
 		return "", nil
@@ -165,4 +174,45 @@ func PeekBodyField(r *http.Request, field string) (string, error) {
 		json.Unmarshal(raw, &val)
 	}
 	return val, nil
+}
+
+// placeChainMax bounds how many failover candidates one request walks;
+// the proxies cap their attempts anyway.
+const placeChainMax = 3
+
+// Place returns where a classified request should run, best first. A
+// dataset request (d.Dataset, which the caller fills in when it had to
+// be peeked from the body) gets the first three live members of the
+// name's preference chain: the owner, then its failover path. A job
+// request gets its home rank alone, when that rank is live; a job lives
+// nowhere else. Nil means the request has no live placement: nothing to
+// place (RouteLocal, RouteAny, an empty name), a pre-fleet job ID, or a
+// dead job home.
+func (t *Table) Place(d Decision) []Member {
+	switch d.Class {
+	case RouteDataset:
+		if d.Dataset != "" {
+			return t.Replicas(d.Dataset, placeChainMax)
+		}
+	case RouteJob:
+		v := t.cur.Load()
+		if rank, ok := JobHomeRank(d.JobID); ok && rank < len(v.members) && v.health[rank].live.Load() {
+			return []Member{v.members[rank]}
+		}
+	}
+	return nil
+}
+
+// StampRequestID ensures the request carries an X-Request-Id, minting
+// one at the first hop and keeping the inbound value on routed hops, and
+// echoes it on the response so clients can quote it. Returns the ID for
+// the request log.
+func StampRequestID(w http.ResponseWriter, r *http.Request) string {
+	rid := r.Header.Get(RequestIDHeader)
+	if rid == "" {
+		rid = NewRequestID()
+		r.Header.Set(RequestIDHeader, rid)
+	}
+	w.Header().Set(RequestIDHeader, rid)
+	return rid
 }

@@ -1,8 +1,6 @@
 package gen
 
 import (
-	"math"
-
 	"graphdiam/internal/graph"
 	"graphdiam/internal/rng"
 )
@@ -81,60 +79,6 @@ func WattsStrogatz(n, k int, beta float64, r *rng.RNG) *graph.Graph {
 	return b.Build()
 }
 
-// RandomGeometric places n points uniformly in the unit square and
-// connects pairs within Euclidean distance radius, with the distance as
-// edge weight. A natural bounded-doubling-dimension family (b ≈ 2)
-// complementary to meshes; grid-bucketed for O(n) expected construction.
-func RandomGeometric(n int, radius float64, r *rng.RNG) *graph.Graph {
-	if radius <= 0 || radius > 1 {
-		panic("gen: RandomGeometric radius must be in (0, 1]")
-	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.Float64()
-		ys[i] = r.Float64()
-	}
-	cells := int(1 / radius)
-	if cells < 1 {
-		cells = 1
-	}
-	cellOf := func(i int) (int, int) {
-		cx := int(xs[i] * float64(cells))
-		cy := int(ys[i] * float64(cells))
-		if cx >= cells {
-			cx = cells - 1
-		}
-		if cy >= cells {
-			cy = cells - 1
-		}
-		return cx, cy
-	}
-	buckets := make(map[[2]int][]int)
-	for i := 0; i < n; i++ {
-		cx, cy := cellOf(i)
-		buckets[[2]int{cx, cy}] = append(buckets[[2]int{cx, cy}], i)
-	}
-	b := graph.NewBuilder(n, 0)
-	for i := 0; i < n; i++ {
-		cx, cy := cellOf(i)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range buckets[[2]int{cx + dx, cy + dy}] {
-					if j <= i {
-						continue
-					}
-					d := math.Hypot(xs[i]-xs[j], ys[i]-ys[j])
-					if d <= radius && d > 0 {
-						b.AddEdge(graph.NodeID(i), graph.NodeID(j), d)
-					}
-				}
-			}
-		}
-	}
-	return b.Build()
-}
-
 // Hypercube returns the d-dimensional hypercube (2^d nodes, unit weights):
 // a doubling-dimension-Θ(d) graph used to stress the dependence of the
 // decomposition on dimension.
@@ -147,25 +91,6 @@ func Hypercube(d int) *graph.Graph {
 			if u < v {
 				b.AddEdge(graph.NodeID(u), graph.NodeID(v), 1)
 			}
-		}
-	}
-	return b.Build()
-}
-
-// Caterpillar returns a path of spineLen nodes with legsPerNode leaf nodes
-// attached to every spine node — a tree with many degree-1 nodes, a
-// stress case for singleton-heavy decompositions.
-func Caterpillar(spineLen, legsPerNode int) *graph.Graph {
-	n := spineLen * (1 + legsPerNode)
-	b := graph.NewBuilder(n, n-1)
-	for i := 0; i+1 < spineLen; i++ {
-		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
-	}
-	next := spineLen
-	for i := 0; i < spineLen; i++ {
-		for l := 0; l < legsPerNode; l++ {
-			b.AddEdge(graph.NodeID(i), graph.NodeID(next), 1)
-			next++
 		}
 	}
 	return b.Build()

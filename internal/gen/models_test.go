@@ -119,38 +119,6 @@ func TestWattsStrogatzValidation(t *testing.T) {
 	}
 }
 
-func TestRandomGeometric(t *testing.T) {
-	r := rng.New(5)
-	g := RandomGeometric(400, 0.12, r)
-	if g.NumNodes() != 400 {
-		t.Fatal("node count")
-	}
-	bad := false
-	g.ForEachEdge(func(u, v graph.NodeID, w float64) {
-		if w <= 0 || w > 0.12 {
-			bad = true
-		}
-	})
-	if bad {
-		t.Fatal("RGG edge weights must be distances within the radius")
-	}
-	// Grid bucketing must find the same edges as brute force would — spot
-	// check density: expected degree ≈ nπr² ≈ 18.
-	avg := 2 * float64(g.NumEdges()) / 400
-	if avg < 8 || avg > 30 {
-		t.Fatalf("RGG average degree %.1f implausible", avg)
-	}
-}
-
-func TestRandomGeometricBadRadius(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	RandomGeometric(10, 0, rng.New(1))
-}
-
 func TestHypercube(t *testing.T) {
 	g := Hypercube(5)
 	if g.NumNodes() != 32 || g.NumEdges() != 32*5/2 {
@@ -167,31 +135,8 @@ func TestHypercube(t *testing.T) {
 	}
 }
 
-func TestCaterpillar(t *testing.T) {
-	g := Caterpillar(10, 3)
-	if g.NumNodes() != 40 || g.NumEdges() != 39 {
-		t.Fatalf("caterpillar shape: n=%d m=%d", g.NumNodes(), g.NumEdges())
-	}
-	if !cc.IsConnected(g) {
-		t.Fatal("caterpillar disconnected")
-	}
-	// Interior spine nodes: 2 spine edges + 3 legs.
-	if g.Degree(5) != 5 {
-		t.Fatalf("spine degree = %d, want 5", g.Degree(5))
-	}
-	if g.Degree(39) != 1 {
-		t.Fatal("leaf degree wrong")
-	}
-}
-
 func BenchmarkBarabasiAlbert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		BarabasiAlbert(1<<13, 4, rng.New(uint64(i)))
-	}
-}
-
-func BenchmarkRandomGeometric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RandomGeometric(1<<13, 0.03, rng.New(uint64(i)))
 	}
 }

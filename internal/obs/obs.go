@@ -147,7 +147,6 @@ type child struct {
 	labelValues []string
 	counter     *Counter
 	gauge       *Gauge
-	gaugeFn     func() float64
 	hist        *Histogram
 }
 
@@ -311,14 +310,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.childFor(values).gauge
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, typeGauge, nil, nil)
-	c := f.childFor(nil)
-	c.gauge = nil
-	c.gaugeFn = fn
-}
-
 // Histogram registers an unlabeled histogram; nil buckets selects
 // DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -413,16 +404,10 @@ func (f *family) write(b *strings.Builder) {
 			b.WriteString(strconv.FormatInt(c.counter.Value(), 10))
 			b.WriteByte('\n')
 		case typeGauge:
-			v := 0.0
-			if c.gaugeFn != nil {
-				v = c.gaugeFn()
-			} else {
-				v = c.gauge.Value()
-			}
 			b.WriteString(f.name)
 			b.WriteString(ls)
 			b.WriteByte(' ')
-			b.WriteString(formatFloat(v))
+			b.WriteString(formatFloat(c.gauge.Value()))
 			b.WriteByte('\n')
 		case typeHistogram:
 			h := c.hist

@@ -97,7 +97,6 @@ func TestExpositionFormat(t *testing.T) {
 	c := r.Counter("test_ops_total", "Operations.")
 	cv := r.CounterVec("test_hits_total", "Hits by tier.", "tier")
 	g := r.Gauge("test_depth", "Queue depth.")
-	r.GaugeFunc("test_sampled", "Sampled at scrape.", func() float64 { return 42 })
 	h := r.Histogram("test_seconds", "Latency.", []float64{0.1, 1, 10})
 	hv := r.HistogramVec("test_phase_seconds", "Phase latency.", nil, "phase")
 
@@ -123,7 +122,6 @@ func TestExpositionFormat(t *testing.T) {
 		`test_hits_total{tier="local"}`:                     1,
 		`test_hits_total{tier="fleet"}`:                     2,
 		"test_depth":                                        7.5,
-		"test_sampled":                                      42,
 		`test_seconds_bucket{le="0.1"}`:                     1,
 		`test_seconds_bucket{le="1"}`:                       2,
 		`test_seconds_bucket{le="10"}`:                      2,

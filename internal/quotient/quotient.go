@@ -16,7 +16,6 @@ import (
 	"graphdiam/internal/bsp"
 	"graphdiam/internal/cc"
 	"graphdiam/internal/graph"
-	"graphdiam/internal/sssp"
 	"graphdiam/internal/validate"
 )
 
@@ -124,7 +123,7 @@ func (o DiameterOptions) withDefaults() DiameterOptions {
 // falls back to iterated farthest-node sweeps from every component, which
 // yields a lower bound on Φ(G_C) that is near-exact in practice (the 2R
 // additive term of the overall estimate keeps the final CL-DIAM output an
-// empirical upper bound; see EXPERIMENTS.md).
+// empirical upper bound).
 func Diameter(q *graph.Graph, e *bsp.Engine, opts DiameterOptions) float64 {
 	o := opts.withDefaults()
 	n := q.NumNodes()
@@ -150,15 +149,4 @@ func Diameter(q *graph.Graph, e *bsp.Engine, opts DiameterOptions) float64 {
 		}
 	}
 	return best
-}
-
-// Eccentric returns the quotient node with maximum eccentricity estimate
-// found by a double sweep from node 0, useful for picking SSSP sources.
-func Eccentric(q *graph.Graph) graph.NodeID {
-	if q.NumNodes() == 0 {
-		return 0
-	}
-	dist := sssp.Dijkstra(q, 0)
-	_, far := sssp.Eccentricity(dist)
-	return far
 }

@@ -163,11 +163,3 @@ func TestDiameterSweepCloseToExact(t *testing.T) {
 		t.Fatalf("sweep %v too far below exact %v", sweep, exact)
 	}
 }
-
-func TestEccentric(t *testing.T) {
-	g := gen.Path(30)
-	far := Eccentric(g)
-	if far != 29 {
-		t.Fatalf("Eccentric = %d, want 29 (far end from node 0)", far)
-	}
-}

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -158,23 +157,6 @@ func TestExpPositiveAndMean(t *testing.T) {
 	mean := sum / samples
 	if math.Abs(mean-1.0) > 0.02 {
 		t.Fatalf("Exp mean = %v, want ~1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n uint8) bool {
-		p := New(seed).Perm(int(n))
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= int(n) || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == int(n)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"graphdiam/internal/dataset"
+	"graphdiam/internal/fleet"
 	"graphdiam/internal/store"
 )
 
@@ -47,7 +48,7 @@ import (
 // requireDatasets answers 503 when no catalog is configured.
 func (s *Server) requireDatasets(w http.ResponseWriter) (*dataset.Catalog, bool) {
 	if s.cfg.Datasets == nil {
-		writeError(w, http.StatusServiceUnavailable,
+		fleet.WriteJSONError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("dataset catalog not configured (start the daemon with -data-dir)"))
 		return nil, false
 	}
@@ -66,17 +67,17 @@ func writeDatasetError(w http.ResponseWriter, err error) {
 	)
 	switch {
 	case errors.Is(err, dataset.ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
+		fleet.WriteJSONError(w, http.StatusNotFound, err)
 	case errors.Is(err, dataset.ErrHeadMoved):
-		writeError(w, http.StatusConflict, err)
+		fleet.WriteJSONError(w, http.StatusConflict, err)
 	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		fleet.WriteJSONError(w, http.StatusRequestEntityTooLarge, err)
 	case errors.As(err, &badIn):
-		writeError(w, http.StatusBadRequest, err)
+		fleet.WriteJSONError(w, http.StatusBadRequest, err)
 	case errors.Is(err, dataset.ErrBudgetExceeded):
-		writeError(w, http.StatusInsufficientStorage, err)
+		fleet.WriteJSONError(w, http.StatusInsufficientStorage, err)
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		fleet.WriteJSONError(w, http.StatusInternalServerError, err)
 	}
 }
 
@@ -87,7 +88,7 @@ func (s *Server) handleIngestDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing ?name= query parameter"))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("missing ?name= query parameter"))
 		return
 	}
 	source := r.URL.Query().Get("source")
@@ -99,7 +100,7 @@ func (s *Server) handleIngestDataset(w http.ResponseWriter, r *http.Request) {
 		writeDatasetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	fleet.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
@@ -107,7 +108,7 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	fleet.WriteJSON(w, http.StatusOK, map[string]any{
 		"datasets":   cat.List(),
 		"totalBytes": cat.TotalBytes(),
 		"sweep":      cat.SweepStatus(),
@@ -124,7 +125,7 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 		writeDatasetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	fleet.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
@@ -137,7 +138,7 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 		writeDatasetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
+	fleet.WriteJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
 // blobHandler serves the catalog's blob storage tier under /v2/blobs —
@@ -150,7 +151,7 @@ func (s *Server) blobHandler() http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if h == nil {
-			writeError(w, http.StatusServiceUnavailable,
+			fleet.WriteJSONError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("dataset catalog not configured (start the daemon with -data-dir)"))
 			return
 		}
@@ -167,7 +168,7 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		writeComputeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	fleet.WriteJSON(w, http.StatusOK, info)
 }
 
 // AppendResponse is the POST /v2/datasets/{name}/append payload: the
@@ -226,7 +227,7 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request) {
 		m := s.st.ApplyDelta(r.Context(), name, res.PrevSHA, res.Info.SHA256, res.Touched)
 		resp.Maintenance = &m
 	}
-	writeJSON(w, http.StatusOK, resp)
+	fleet.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleCompactDataset folds the named dataset's delta chain into a
@@ -243,7 +244,7 @@ func (s *Server) handleCompactDataset(w http.ResponseWriter, r *http.Request) {
 		writeDatasetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	fleet.WriteJSON(w, http.StatusOK, map[string]any{
 		"dataset":     name,
 		"compacted":   compacted,
 		"headSha":     info.SHA256,

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"graphdiam/internal/bsp/transport"
+	"graphdiam/internal/fleet"
 	"graphdiam/internal/store"
 )
 
@@ -37,19 +38,19 @@ func (s *Server) handleBSPFrame(w http.ResponseWriter, r *http.Request) {
 	step, err1 := strconv.ParseUint(q.Get("step"), 10, 64)
 	from, err2 := strconv.Atoi(q.Get("from"))
 	if runID == "" || err1 != nil || err2 != nil || from < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("frames need run, step, and from parameters"))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("frames need run, step, and from parameters"))
 		return
 	}
 	blob, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read frame body: %w", err))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("read frame body: %w", err))
 		return
 	}
 	if err := s.st.BSPRegistry().Deliver(runID, step, from, blob); err != nil {
 		// Delivery refusals are protocol errors on the sender's part
 		// (diverged step window, finished run): 4xx tells the sender's
 		// retry loop not to bother.
-		writeError(w, http.StatusBadRequest, err)
+		fleet.WriteJSONError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -60,7 +61,7 @@ func (s *Server) handleBSPFrame(w http.ResponseWriter, r *http.Request) {
 // to its peers through the frames endpoint.
 func (s *Server) handleDistributedRun(w http.ResponseWriter, r *http.Request) {
 	if !s.st.DistributedEnabled() {
-		writeError(w, http.StatusServiceUnavailable,
+		fleet.WriteJSONError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("this daemon is not part of a fleet (start with -peers and -worker-id)"))
 		return
 	}
@@ -69,10 +70,10 @@ func (s *Server) handleDistributedRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.st.StartDistributedParticipant(req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		fleet.WriteJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"runId": req.RunID, "state": "running"})
+	fleet.WriteJSON(w, http.StatusAccepted, map[string]string{"runId": req.RunID, "state": "running"})
 }
 
 // handleDistributedJob coordinates one fleet run: fans the job out to the
@@ -81,7 +82,7 @@ func (s *Server) handleDistributedRun(w http.ResponseWriter, r *http.Request) {
 // clients can tell a sick fleet from a bad request.
 func (s *Server) handleDistributedJob(w http.ResponseWriter, r *http.Request) {
 	if !s.st.DistributedEnabled() {
-		writeError(w, http.StatusServiceUnavailable,
+		fleet.WriteJSONError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("this daemon is not part of a fleet (start with -peers and -worker-id)"))
 		return
 	}
@@ -96,16 +97,16 @@ func (s *Server) handleDistributedJob(w http.ResponseWriter, r *http.Request) {
 			writeDistributedError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		fleet.WriteJSON(w, http.StatusOK, res)
 	case "diameter":
 		res, err := s.st.DistributedDiameter(r.Context(), req.Graph, req.Params)
 		if err != nil {
 			writeDistributedError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		fleet.WriteJSON(w, http.StatusOK, res)
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown op %q (want decompose or diameter)", req.Op))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("unknown op %q (want decompose or diameter)", req.Op))
 	}
 }
 
@@ -113,11 +114,11 @@ func (s *Server) handleDistributedJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDistributedInfo(w http.ResponseWriter, _ *http.Request) {
 	rank, peers, ok := s.st.DistributedInfo()
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		fleet.WriteJSONError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("this daemon is not part of a fleet (start with -peers and -worker-id)"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rank": rank, "peers": peers})
+	fleet.WriteJSON(w, http.StatusOK, map[string]any{"rank": rank, "peers": peers})
 }
 
 // writeDistributedError maps fleet-run failures: peer and barrier faults
@@ -128,10 +129,10 @@ func writeDistributedError(w http.ResponseWriter, err error) {
 	if errors.As(err, &terr) {
 		switch terr.Kind {
 		case transport.ErrBarrierTimeout:
-			writeError(w, http.StatusGatewayTimeout, err)
+			fleet.WriteJSONError(w, http.StatusGatewayTimeout, err)
 			return
 		case transport.ErrUnreachable, transport.ErrPeerDown, transport.ErrClosed:
-			writeError(w, http.StatusBadGateway, err)
+			fleet.WriteJSONError(w, http.StatusBadGateway, err)
 			return
 		}
 	}

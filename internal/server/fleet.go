@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -22,20 +21,6 @@ import (
 // (epoch enforcement, config pushes, graceful drain). Everything here is
 // inert unless Config.Fleet (routing) or Config.Quotas (admission) is
 // set, so a standalone daemon's request path is unchanged.
-
-// requestID ensures the request carries an X-Request-Id — minting one at
-// the first hop, preserving the inbound value on routed hops — and
-// echoes it on the response so clients can quote it. Returns the ID for
-// the request log.
-func (s *Server) requestID(w http.ResponseWriter, r *http.Request) string {
-	rid := r.Header.Get(fleet.RequestIDHeader)
-	if rid == "" {
-		rid = fleet.NewRequestID()
-		r.Header.Set(fleet.RequestIDHeader, rid)
-	}
-	w.Header().Set(fleet.RequestIDHeader, rid)
-	return rid
-}
 
 // epochExempt lists the paths a node must answer regardless of placement
 // epoch: health and membership endpoints are how divergent views get
@@ -82,29 +67,10 @@ func (s *Server) checkDraining(w http.ResponseWriter, r *http.Request) bool {
 // halve every tenant's effective rate. Returns false after writing the
 // 429.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	if s.cfg.Quotas == nil || !fleet.CostsJob(r.Method, r.URL.Path) {
-		return true
-	}
 	if r.Header.Get(fleet.EdgeHeader) != "" || r.Header.Get(fleet.RoutedHeader) != "" {
 		return true
 	}
-	tenant := r.Header.Get(fleet.TenantHeader)
-	if tenant == "" {
-		tenant = "anonymous"
-	}
-	ok, retry := s.cfg.Quotas.Allow(tenant)
-	if ok {
-		return true
-	}
-	secs := int(math.Ceil(retry.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	s.metrics.Throttled(tenant)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests,
-		fmt.Errorf("tenant %q is over its admission rate; retry after %ds", tenant, secs))
-	return false
+	return s.cfg.Quotas.Admit(w, r, s.metrics)
 }
 
 // computePeek is the routing-relevant subset of a compute request body:
@@ -117,18 +83,14 @@ type computePeek struct {
 	store.Params
 }
 
-// peekCompute buffers the request body (bounded by the MaxBytesReader
-// already installed), parses the routing-relevant fields, and reinstates
-// the body. A non-JSON body yields the zero peek — the handler will
-// produce its usual 400.
+// peekCompute buffers the request body (fleet.BufferBody) and parses the
+// routing-relevant fields. A non-JSON body yields the zero peek — the
+// handler will produce its usual 400.
 func peekCompute(r *http.Request) (computePeek, error) {
-	body, err := io.ReadAll(r.Body)
-	r.Body.Close()
+	body, err := fleet.BufferBody(r)
 	if err != nil {
-		return computePeek{}, fmt.Errorf("read request body: %w", err)
+		return computePeek{}, err
 	}
-	r.Body = io.NopCloser(strings.NewReader(string(body)))
-	r.ContentLength = int64(len(body))
 	var pk computePeek
 	json.Unmarshal(body, &pk)
 	return pk, nil
@@ -173,61 +135,45 @@ func (s *Server) routeAway(w http.ResponseWriter, r *http.Request) bool {
 	}
 	t := s.cfg.Fleet
 	d := fleet.Classify(r.Method, r.URL.Path)
-	switch d.Class {
-	case fleet.RouteJob:
-		rank, ok := fleet.JobHomeRank(d.JobID)
-		if !ok || rank == t.Self() || rank >= len(t.Members()) || !t.Live(rank) {
-			// Pre-fleet ID, our own job, or an unreachable home: serve
-			// locally (an absent job 404s exactly as it would at home).
-			return false
+	var pk computePeek
+	if d.Class == fleet.RouteDataset && d.Dataset == "" && d.BodyField != "" {
+		var err error
+		if pk, err = peekCompute(r); err != nil {
+			fleet.WriteJSONError(w, http.StatusBadRequest, err)
+			return true
 		}
-		s.proxy.Forward(w, r, t.Members()[rank])
+		d.Dataset = pk.Graph
+		if d.BodyField == "name" {
+			d.Dataset = pk.Name
+		}
+	}
+	chain := t.Place(d)
+	if len(chain) == 0 || chain[0].Rank == t.Self() {
+		// Nothing to place (the handler produces its usual 400/404), a
+		// pre-fleet job ID, an unreachable job home, or our own dataset
+		// or job: serve locally (an absent job 404s exactly as at home).
+		return false
+	}
+	if d.Class == fleet.RouteJob {
+		s.proxy.Forward(w, r, chain[0])
 		return true
-	case fleet.RouteDataset:
-		name := d.Dataset
-		var pk computePeek
-		if name == "" && d.BodyField != "" {
-			var err error
-			pk, err = peekCompute(r)
-			if err != nil {
-				fleet.WriteJSONError(w, http.StatusBadRequest, err)
-				return true
-			}
-			if d.BodyField == "name" {
-				name = pk.Name
-			} else {
-				name = pk.Graph
-			}
-		}
-		if name == "" {
-			return false // the handler will produce its usual 400/404
-		}
-		chain := t.Replicas(name, len(t.Members())) // all live, preference order
-		if len(chain) == 0 || chain[0].Rank == t.Self() {
-			return false
-		}
-		if k := s.cfg.Replicas; k > 1 {
-			if op := replicaOp(r.Method, r.URL.Path); op != "" {
-				// Replica placement follows the cache key's preference chain
-				// (that is where Put lands pushes), not the dataset name's.
-				if fkey, ok := s.st.FleetKeyFor(name, op, pk.Params); ok && s.st.CachedLocally(name, op, pk.Params) {
-					for _, m := range t.Replicas(fkey, k) {
-						if m.Rank == t.Self() {
-							s.cfg.FleetMetrics.ReplicaLocalServe()
-							return false // replica-local hit: serve it here
-						}
+	}
+	if k := s.cfg.Replicas; k > 1 {
+		if op := replicaOp(r.Method, r.URL.Path); op != "" {
+			// Replica placement follows the cache key's preference chain
+			// (that is where Put lands pushes), not the dataset name's.
+			if fkey, ok := s.st.FleetKeyFor(d.Dataset, op, pk.Params); ok && s.st.CachedLocally(d.Dataset, op, pk.Params) {
+				for _, m := range t.Replicas(fkey, k) {
+					if m.Rank == t.Self() {
+						s.cfg.FleetMetrics.ReplicaLocalServe()
+						return false // replica-local hit: serve it here
 					}
 				}
 			}
 		}
-		if len(chain) > 3 {
-			chain = chain[:3] // bound the failover walk; retries are capped anyway
-		}
-		s.proxy.ForwardChain(w, r, chain)
-		return true
-	default: // RouteLocal, RouteAny
-		return false
 	}
+	s.proxy.ForwardChain(w, r, chain)
+	return true
 }
 
 // handleFleetCacheGet serves a peer's fleet-cache probe from the local
@@ -237,7 +183,7 @@ func (s *Server) handleFleetCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	body, ok := s.st.FleetCacheGet(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("fleet cache miss"))
+		fleet.WriteJSONError(w, http.StatusNotFound, fmt.Errorf("fleet cache miss"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -249,11 +195,11 @@ func (s *Server) handleFleetCacheGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFleetCachePut(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read cache body: %w", err))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("read cache body: %w", err))
 		return
 	}
 	if err := s.st.FleetCachePut(r.PathValue("key"), body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		fleet.WriteJSONError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -266,7 +212,7 @@ func (s *Server) handleFleetCachePut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFleetConfig(w http.ResponseWriter, r *http.Request) {
 	t := s.cfg.Fleet
 	if t == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("fleet mode is not enabled (start with -peers)"))
+		fleet.WriteJSONError(w, http.StatusNotFound, fmt.Errorf("fleet mode is not enabled (start with -peers)"))
 		return
 	}
 	fleet.HandleConfigPush(t, w, r)
@@ -280,11 +226,11 @@ func (s *Server) handleFleetConfig(w http.ResponseWriter, r *http.Request) {
 // the drain already in progress.
 func (s *Server) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Fleet == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("fleet mode is not enabled (start with -peers)"))
+		fleet.WriteJSONError(w, http.StatusNotFound, fmt.Errorf("fleet mode is not enabled (start with -peers)"))
 		return
 	}
 	if s.draining.Swap(true) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "already draining"})
+		fleet.WriteJSON(w, http.StatusOK, map[string]string{"status": "already draining"})
 		return
 	}
 	timeout := s.cfg.DrainTimeout
@@ -311,7 +257,7 @@ func (s *Server) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 			s.cfg.OnDrain()
 		}
 	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "draining"})
+	fleet.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "draining"})
 }
 
 // drainPrewarmMax caps how many hot fleet-cache entries a draining node
@@ -391,35 +337,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
-}
-
-// FleetInfoResponse is the GET /v2/fleet payload: membership, and —
-// with ?dataset=<name> — where that dataset's queries land.
-type FleetInfoResponse struct {
-	Self    int                  `json:"self"`
-	Epoch   uint64               `json:"epoch"`
-	Members []fleet.MemberStatus `json:"members"`
-	Dataset string               `json:"dataset,omitempty"`
-	// Owner is the dataset's current owner under this node's health view.
-	Owner *fleet.Member `json:"owner,omitempty"`
-	// Preference is the dataset's full failover chain, live or not.
-	Preference []fleet.Member `json:"preference,omitempty"`
+	fleet.WriteJSON(w, status, resp)
 }
 
 func (s *Server) handleFleetInfo(w http.ResponseWriter, r *http.Request) {
 	t := s.cfg.Fleet
 	if t == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("fleet mode is not enabled (start with -peers)"))
+		fleet.WriteJSONError(w, http.StatusNotFound, fmt.Errorf("fleet mode is not enabled (start with -peers)"))
 		return
 	}
-	resp := FleetInfoResponse{Self: t.Self(), Epoch: t.Epoch(), Members: t.Snapshot()}
-	if ds := r.URL.Query().Get("dataset"); ds != "" {
-		resp.Dataset = ds
-		resp.Preference = t.Preference(ds)
-		if owner, ok := t.Owner(ds); ok {
-			resp.Owner = &owner
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	fleet.WriteJSON(w, http.StatusOK, t.Info(r.URL.Query().Get("dataset")))
 }

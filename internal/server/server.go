@@ -104,7 +104,6 @@ import (
 	"graphdiam/internal/dataset"
 	"graphdiam/internal/fleet"
 	"graphdiam/internal/gen"
-	"graphdiam/internal/gio"
 	"graphdiam/internal/graph"
 	"graphdiam/internal/obs"
 	"graphdiam/internal/store"
@@ -229,7 +228,7 @@ func New(st *store.Store, cfg Config) *Server {
 	s.mux.HandleFunc("POST /v2/fleet/drain", s.handleFleetDrain)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// Pure liveness: the process is up. Readiness lives at /readyz.
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		fleet.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	return s
@@ -241,7 +240,7 @@ func New(st *store.Store, cfg Config) *Server {
 // carries the real status and duration — for SSE streams that is when
 // the stream closes, which is the span's end by any definition.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid := s.requestID(w, r)
+	rid := fleet.StampRequestID(w, r)
 	route := normalizeRoute(r.URL.Path)
 	done := s.metrics.Begin()
 	rec := obs.WrapWriter(w)
@@ -327,7 +326,7 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing graph name"))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("missing graph name"))
 		return
 	}
 	var (
@@ -337,7 +336,7 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	)
 	switch {
 	case req.Spec != "" && req.Data != "":
-		writeError(w, http.StatusBadRequest, fmt.Errorf("spec and data are mutually exclusive"))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("spec and data are mutually exclusive"))
 		return
 	case req.Spec != "":
 		g, err = gen.FromSpec(req.Spec, req.Seed)
@@ -346,34 +345,31 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 		g, err = decodeGraphData(req.Format, req.Data)
 		source = "upload " + formatName(req.Format)
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("one of spec or data is required"))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("one of spec or data is required"))
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		fleet.WriteJSONError(w, http.StatusBadRequest, err)
 		return
 	}
 	info, err := s.st.AddGraph(req.Name, g, source)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		fleet.WriteJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	fleet.WriteJSON(w, http.StatusCreated, info)
 }
 
-// decodeGraphData parses inline upload text in the named format.
+// decodeGraphData parses inline upload text in the named format. Only the
+// text formats are accepted inline; binary and sniffed uploads go through
+// the dataset ingest endpoint.
 func decodeGraphData(format, data string) (*graph.Graph, error) {
-	r := strings.NewReader(data)
-	switch formatName(format) {
-	case "edgelist":
-		return gio.ReadEdgeList(r)
-	case "dimacs":
-		return gio.ReadDIMACS(r)
-	case "metis":
-		return gio.ReadMETIS(r)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want edgelist, dimacs, or metis)", format)
+	switch f := formatName(format); f {
+	case dataset.FormatEdgeList, dataset.FormatDIMACS, dataset.FormatMETIS:
+		g, _, err := dataset.DecodeStream(strings.NewReader(data), f)
+		return g, err
 	}
+	return nil, fmt.Errorf("unknown format %q (want edgelist, dimacs, or metis)", format)
 }
 
 func formatName(format string) string {
@@ -384,26 +380,26 @@ func formatName(format string) string {
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": s.st.Graphs()})
+	fleet.WriteJSON(w, http.StatusOK, map[string]any{"graphs": s.st.Graphs()})
 }
 
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	_, info, ok := s.st.Graph(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, &store.NotFoundError{Name: name})
+		fleet.WriteJSONError(w, http.StatusNotFound, &store.NotFoundError{Name: name})
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	fleet.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !s.st.RemoveGraph(name) {
-		writeError(w, http.StatusNotFound, &store.NotFoundError{Name: name})
+		fleet.WriteJSONError(w, http.StatusNotFound, &store.NotFoundError{Name: name})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
+	fleet.WriteJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
 // ComputeRequest is the POST /v1/decompose and /v1/diameter body: the
@@ -434,7 +430,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, DecomposeResponse{
+	fleet.WriteJSON(w, http.StatusOK, DecomposeResponse{
 		DecomposeResult: final.Result.(store.DecomposeResult),
 		Cached:          final.Cached,
 	})
@@ -449,7 +445,7 @@ func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, DiameterResponse{
+	fleet.WriteJSON(w, http.StatusOK, DiameterResponse{
 		DiameterResult: final.Result.(store.DiameterResult),
 		Cached:         final.Cached,
 	})
@@ -489,29 +485,29 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeComputeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, view)
+	fleet.WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.st.Jobs()})
+	fleet.WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.st.Jobs()})
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.st.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %q is not registered", r.PathValue("id")))
+		fleet.WriteJSONError(w, http.StatusNotFound, fmt.Errorf("job %q is not registered", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	fleet.WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.st.CancelJob(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %q is not registered", r.PathValue("id")))
+		fleet.WriteJSONError(w, http.StatusNotFound, fmt.Errorf("job %q is not registered", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	fleet.WriteJSON(w, http.StatusOK, view)
 }
 
 // handleJobEvents streams a job's lifecycle over Server-Sent Events:
@@ -524,13 +520,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snapshot, events, cancelSub, ok := s.st.SubscribeJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %q is not registered", id))
+		fleet.WriteJSONError(w, http.StatusNotFound, fmt.Errorf("job %q is not registered", id))
 		return
 	}
 	defer cancelSub()
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer does not support streaming"))
+		fleet.WriteJSONError(w, http.StatusInternalServerError, fmt.Errorf("response writer does not support streaming"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -569,7 +565,7 @@ func writeSSE(w io.Writer, event string, v any) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.st.Stats())
+	fleet.WriteJSON(w, http.StatusOK, s.st.Stats())
 }
 
 // writeComputeError maps store errors to HTTP statuses.
@@ -577,11 +573,11 @@ func writeComputeError(w http.ResponseWriter, err error) {
 	var nf *store.NotFoundError
 	switch {
 	case errors.As(err, &nf):
-		writeError(w, http.StatusNotFound, err)
+		fleet.WriteJSONError(w, http.StatusNotFound, err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusRequestTimeout, err)
+		fleet.WriteJSONError(w, http.StatusRequestTimeout, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		fleet.WriteJSONError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -590,26 +586,14 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return false
 	}
 	// Reject trailing garbage so "two JSON objects" is not silently half-read.
 	if dec.More() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: trailing data"))
+		fleet.WriteJSONError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: trailing data"))
 		return false
 	}
 	io.Copy(io.Discard, r.Body)
 	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

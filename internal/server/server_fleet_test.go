@@ -635,7 +635,7 @@ func TestFleetInfoEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var resp FleetInfoResponse
+		var resp fleet.InfoResponse
 		if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func TestFleetConfigEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/v2/fleet: status %d", code)
 	}
-	var info FleetInfoResponse
+	var info fleet.InfoResponse
 	if err := json.Unmarshal(raw, &info); err != nil {
 		t.Fatal(err)
 	}

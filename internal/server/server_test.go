@@ -214,6 +214,7 @@ func TestErrors(t *testing.T) {
 		{"neither spec nor data", "POST", "/v1/graphs", `{"name":"x"}`, http.StatusBadRequest},
 		{"bad spec", "POST", "/v1/graphs", `{"name":"x","spec":"nope:1"}`, http.StatusBadRequest},
 		{"bad format", "POST", "/v1/graphs", `{"name":"x","format":"xml","data":"hi"}`, http.StatusBadRequest},
+		{"binary format inline", "POST", "/v1/graphs", `{"name":"x","format":"binary","data":"0 1 1\n"}`, http.StatusBadRequest},
 		{"malformed json", "POST", "/v1/diameter", `{"graph":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/diameter", `{"graph":"m","bogus":1}`, http.StatusBadRequest},
 		{"trailing data", "POST", "/v1/diameter", `{"graph":"m"}{"x":1}`, http.StatusBadRequest},

@@ -94,37 +94,6 @@ func (sc *Scratch) DijkstraInto(g *graph.Graph, src graph.NodeID, dist []float64
 	}
 }
 
-// DijkstraTree computes distances and the shortest-path tree parent of each
-// node (parent[src] = src; parent of unreachable nodes = -1).
-func DijkstraTree(g *graph.Graph, src graph.NodeID) (dist []float64, parent []int32) {
-	n := g.NumNodes()
-	dist = make([]float64, n)
-	parent = make([]int32, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = -1
-	}
-	h := pq.NewFlatHeap(n)
-	dist[src] = 0
-	parent[src] = int32(src)
-	h.Push(int32(src), 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if du > dist[u] {
-			continue
-		}
-		ts, ws := g.Neighbors(graph.NodeID(u))
-		for i, v := range ts {
-			if nd := du + ws[i]; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = int32(u)
-				h.Push(int32(v), nd)
-			}
-		}
-	}
-	return dist, parent
-}
-
 // BellmanFord computes shortest-path distances from src by synchronous
 // (Jacobi-style) relaxation sweeps: every sweep relaxes all edges against
 // the previous sweep's distances, exactly as a parallel round would. It
@@ -180,49 +149,4 @@ func Eccentricity(dist []float64) (float64, graph.NodeID) {
 		return 0, 0
 	}
 	return best, arg
-}
-
-// NumEdgesOnShortestPaths returns ℓ, the maximum number of edges on any
-// minimum-weight path of the tree computed by DijkstraTree from src. It is
-// the realized value of the paper's ℓ_Δ parameter at Δ = ecc(src).
-func NumEdgesOnShortestPaths(g *graph.Graph, src graph.NodeID) int {
-	_, parent := DijkstraTree(g, src)
-	n := g.NumNodes()
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[src] = 0
-	maxDepth := 0
-	var walk func(v int) int32
-	walk = func(v int) int32 {
-		if depth[v] >= 0 {
-			return depth[v]
-		}
-		if parent[v] < 0 {
-			return 0
-		}
-		// Iterative unwinding to avoid deep recursion on path graphs.
-		var stack []int
-		u := v
-		for depth[u] < 0 {
-			stack = append(stack, u)
-			u = int(parent[u])
-		}
-		d := depth[u]
-		for i := len(stack) - 1; i >= 0; i-- {
-			d++
-			depth[stack[i]] = d
-		}
-		return depth[v]
-	}
-	for v := 0; v < n; v++ {
-		if parent[v] < 0 {
-			continue
-		}
-		if d := int(walk(v)); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	return maxDepth
 }

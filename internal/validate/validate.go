@@ -236,18 +236,6 @@ func LowerBound(g *graph.Graph, start graph.NodeID, sweeps int) (float64, graph.
 	return best, far
 }
 
-// LowerBoundMultiStart runs LowerBound from each of the given start nodes
-// and returns the best bound found.
-func LowerBoundMultiStart(g *graph.Graph, starts []graph.NodeID, sweepsEach int) float64 {
-	best := 0.0
-	for _, s := range starts {
-		if lb, _ := LowerBound(g, s, sweepsEach); lb > best {
-			best = lb
-		}
-	}
-	return best
-}
-
 // UnweightedDiameter computes the exact unweighted diameter Ψ(G) (maximum
 // hop distance within a component) by parallel BFS from every node.
 // Quadratic; for validation and for checking Corollary 1's Ψ/n^(ε'/b)
@@ -286,31 +274,4 @@ func UnweightedDiameter(g *graph.Graph, e *bsp.Engine) int {
 		return float64(localBest)
 	}, math.Max)
 	return int(best)
-}
-
-// EccentricityBFS returns the unweighted eccentricity of src.
-func EccentricityBFS(g *graph.Graph, src graph.NodeID) int {
-	n := g.NumNodes()
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	queue := make([]graph.NodeID, 0, 1024)
-	queue = append(queue, src)
-	depth[src] = 0
-	best := 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		ts, _ := g.Neighbors(u)
-		for _, v := range ts {
-			if depth[v] < 0 {
-				depth[v] = depth[u] + 1
-				if int(depth[v]) > best {
-					best = int(depth[v])
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return best
 }
